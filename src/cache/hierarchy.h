@@ -88,7 +88,10 @@ class CacheHierarchy
      */
     void snoopLine(Addr addr);
 
-    /** Snoop all 64 lines of 4KB page @p pn. */
+    /**
+     * Snoop all 64 lines of 4KB page @p pn: one writeback event per
+     * line dirty in any level, in ascending line order.
+     */
     void snoopPage(Addr pn);
 
     /**
@@ -116,8 +119,6 @@ class CacheHierarchy
     void accessLine(Addr lineAddr, AccessType type);
     /** Push a dirty victim of level @p from downwards (iterative). */
     void propagateWriteback(std::size_t from, Addr blockAddr);
-    /** snoopLine restricted to levels whose bit is set in @p levelMask. */
-    void snoopLineLevels(Addr addr, std::uint32_t levelMask);
 
     MetricScope scope_;
     std::vector<std::unique_ptr<SetAssocCache>> levels_;

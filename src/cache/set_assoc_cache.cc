@@ -1,5 +1,7 @@
 #include "cache/set_assoc_cache.h"
 
+#include <bit>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -26,6 +28,80 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
     KONA_ASSERT(numSets_ > 0, "cache too small for its geometry");
     ways_.resize(numSets_ * config.associativity);
     used_.assign(numSets_, 0);
+}
+
+void
+SetAssocCache::buildIndex()
+{
+    std::size_t slots = std::bit_ceil(2 * ways_.size());
+    pageIndex_.assign(slots, PageLines{0, 0});
+    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+    for (std::size_t s = 0; s < numSets_; ++s) {
+        const Way *set = setBase(s);
+        for (std::size_t i = 0; i < used_[s]; ++i)
+            indexAdd(set[i].tag);
+    }
+}
+
+std::size_t
+SetAssocCache::indexFind(Addr pn) const
+{
+    std::size_t mask = pageIndex_.size() - 1;
+    for (std::size_t i = indexHome(pn);; i = (i + 1) & mask) {
+        const PageLines &e = pageIndex_[i];
+        if (e.lines == 0)
+            return pageIndex_.size();
+        if (e.pn == pn)
+            return i;
+    }
+}
+
+void
+SetAssocCache::indexAdd(Addr blockNum)
+{
+    Addr pn = blockNum / linesPerPage;
+    std::uint64_t bit = std::uint64_t{1} << (blockNum % linesPerPage);
+    std::size_t mask = pageIndex_.size() - 1;
+    for (std::size_t i = indexHome(pn);; i = (i + 1) & mask) {
+        PageLines &e = pageIndex_[i];
+        if (e.lines == 0) {
+            e = {pn, bit};
+            return;
+        }
+        if (e.pn == pn) {
+            e.lines |= bit;
+            return;
+        }
+    }
+}
+
+void
+SetAssocCache::indexRemove(Addr blockNum)
+{
+    std::size_t i = indexFind(blockNum / linesPerPage);
+    KONA_ASSERT(i < pageIndex_.size(), "page index lost block ",
+                blockNum);
+    PageLines &e = pageIndex_[i];
+    e.lines &= ~(std::uint64_t{1} << (blockNum % linesPerPage));
+    if (e.lines == 0)
+        indexErase(i);
+}
+
+void
+SetAssocCache::indexErase(std::size_t hole)
+{
+    // Backward-shift delete: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically in (hole, j].
+    std::size_t mask = pageIndex_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; pageIndex_[j].lines != 0;
+         j = (j + 1) & mask) {
+        std::size_t home = indexHome(pageIndex_[j].pn);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            pageIndex_[hole] = pageIndex_[j];
+            hole = j;
+        }
+    }
+    pageIndex_[hole].lines = 0;
 }
 
 CacheOutcome
@@ -57,6 +133,7 @@ SetAssocCache::access(Addr addr, AccessType type,
         if (victim.dirty)
             writebacks_.add();
         eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        noteRemoved(victim.tag);
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -65,6 +142,7 @@ SetAssocCache::access(Addr addr, AccessType type,
     for (std::size_t j = used; j > 0; --j)
         set[j] = set[j - 1];
     set[0] = {blockNum, type == AccessType::Write};
+    noteFilled(blockNum);
     return CacheOutcome::Miss;
 }
 
@@ -90,6 +168,7 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
         if (victim.dirty)
             writebacks_.add();
         eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        noteRemoved(victim.tag);
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -98,6 +177,7 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
     for (std::size_t j = used; j > 0; --j)
         set[j] = set[j - 1];
     set[0] = {blockNum, true};
+    noteFilled(blockNum);
 }
 
 bool
@@ -110,25 +190,6 @@ SetAssocCache::contains(Addr addr) const
     for (std::size_t i = 0; i < used; ++i) {
         if (set[i].tag == blockNum)
             return true;
-    }
-    return false;
-}
-
-bool
-SetAssocCache::holdsLineOfPage(Addr pn) const
-{
-    Addr firstBlock = pn * pageSize / config_.blockSize;
-    std::size_t count = config_.blockSize < pageSize
-                            ? pageSize / config_.blockSize
-                            : 1;
-    for (std::size_t k = 0; k < count; ++k) {
-        Addr blockNum = firstBlock + k;
-        const Way *set = setBase(setIndex(blockNum));
-        std::size_t used = used_[setIndex(blockNum)];
-        for (std::size_t i = 0; i < used; ++i) {
-            if (set[i].tag == blockNum)
-                return true;
-        }
     }
     return false;
 }
@@ -146,10 +207,46 @@ SetAssocCache::invalidateBlock(Addr addr)
             for (std::size_t j = i; j + 1 < used; ++j)
                 set[j] = set[j + 1];
             used_[s] = static_cast<std::uint32_t>(used - 1);
+            noteRemoved(blockNum);
             return dirty;
         }
     }
     return std::nullopt;
+}
+
+std::uint64_t
+SetAssocCache::invalidatePage(Addr pn, std::uint64_t &dirtyMask)
+{
+    KONA_ASSERT(config_.blockSize == cacheLineSize,
+                "invalidatePage needs 64B lines in ", config_.name);
+    Addr firstBlock = pn * linesPerPage;
+    // Caches never snooped (no eviction traffic) pay nothing for the
+    // index; the first snoop builds it from the ways.
+    if (pageIndex_.empty())
+        buildIndex();
+    std::size_t slot = indexFind(pn);
+    if (slot == pageIndex_.size())
+        return 0;
+    std::uint64_t present = pageIndex_[slot].lines;
+    for (std::uint64_t left = present; left != 0; left &= left - 1) {
+        unsigned k = static_cast<unsigned>(std::countr_zero(left));
+        Addr blockNum = firstBlock + k;
+        std::size_t s = setIndex(blockNum);
+        Way *set = setBase(s);
+        std::size_t used = used_[s];
+        std::size_t i = 0;
+        while (i < used && set[i].tag != blockNum)
+            ++i;
+        KONA_ASSERT(i < used, "page index names absent block ",
+                    blockNum);
+        if (set[i].dirty)
+            dirtyMask |= std::uint64_t{1} << k;
+        for (std::size_t j = i; j + 1 < used; ++j)
+            set[j] = set[j + 1];
+        used_[s] = static_cast<std::uint32_t>(used - 1);
+    }
+    indexErase(slot);
+    return present;
 }
 
 void
@@ -166,6 +263,8 @@ SetAssocCache::flushAll(std::vector<CacheEviction> &evictions)
         }
         used_[s] = 0;
     }
+    for (PageLines &e : pageIndex_)
+        e.lines = 0;
 }
 
 bool
@@ -184,7 +283,31 @@ SetAssocCache::checkInvariants() const
                 return false;      // tag hashed to the wrong set
         }
     }
-    return true;
+    if (pageIndex_.empty())
+        return true;
+
+    // The page index must hold exactly the ways' lines, each page once
+    // and reachable from its home slot.
+    std::unordered_map<Addr, std::uint64_t> want;
+    for (std::size_t s = 0; s < numSets_; ++s) {
+        const Way *set = setBase(s);
+        for (std::size_t i = 0; i < used_[s]; ++i)
+            want[set[i].tag / linesPerPage] |=
+                std::uint64_t{1} << (set[i].tag % linesPerPage);
+    }
+    std::size_t entries = 0;
+    for (std::size_t i = 0; i < pageIndex_.size(); ++i) {
+        const PageLines &e = pageIndex_[i];
+        if (e.lines == 0)
+            continue;
+        ++entries;
+        auto it = want.find(e.pn);
+        if (it == want.end() || it->second != e.lines)
+            return false;      // stale or wrong line mask
+        if (indexFind(e.pn) != i)
+            return false;      // duplicate, or unreachable by probing
+    }
+    return entries == want.size();
 }
 
 } // namespace kona

@@ -15,6 +15,11 @@
  * associativities we model (<= 16), a shift-down on hit beats the
  * pointer chasing of a per-set std::list, and no access ever touches
  * the heap. See DESIGN.md "Simulator performance".
+ *
+ * Caches of 64B lines also keep an exact page index: page number ->
+ * mask of the page's lines held, built on the first invalidatePage()
+ * (the FPGA's pre-eviction snoop) and maintained on every fill and
+ * removal after that. A snoop then touches only the lines present.
  */
 
 #ifndef KONA_CACHE_SET_ASSOC_CACHE_H
@@ -83,17 +88,17 @@ class SetAssocCache
     bool contains(Addr addr) const;
 
     /**
-     * Whether any block overlapping 4KB page @p pn is cached (no side
-     * effects, no LRU update). Lets snoopPage() skip levels that hold
-     * nothing of the page.
-     */
-    bool holdsLineOfPage(Addr pn) const;
-
-    /**
      * Remove the block containing @p addr (snoop / back-invalidate).
      * @return The dirty flag if the block was present.
      */
     std::optional<bool> invalidateBlock(Addr addr);
+
+    /**
+     * Remove every line of 4KB page @p pn (64B-line caches only).
+     * Bit k of the result is set when line k was present; the dirty
+     * ones are also ORed into @p dirtyMask. No LRU or counter change.
+     */
+    std::uint64_t invalidatePage(Addr pn, std::uint64_t &dirtyMask);
 
     /** Evict everything; victims go to @p evictions (cold path). */
     void flushAll(std::vector<CacheEviction> &evictions);
@@ -113,7 +118,8 @@ class SetAssocCache
     }
     std::size_t numSets() const { return numSets_; }
 
-    /** Valid prefixes sized <= associativity; tags unique per set. */
+    /** Valid prefixes sized <= associativity; tags unique per set;
+     *  the page index (when kept) holds exactly the ways' lines. */
     bool checkInvariants() const;
 
   private:
@@ -135,6 +141,32 @@ class SetAssocCache
         return ways_.data() + s * config_.associativity;
     }
 
+    /** Record a way filled with / emptied of block @p blockNum. */
+    void noteFilled(Addr blockNum)
+    {
+        if (!pageIndex_.empty())
+            indexAdd(blockNum);
+    }
+    void noteRemoved(Addr blockNum)
+    {
+        if (!pageIndex_.empty())
+            indexRemove(blockNum);
+    }
+    /** Home slot of page @p pn in pageIndex_ (Fibonacci hashing). */
+    std::size_t indexHome(Addr pn) const
+    {
+        return static_cast<std::size_t>(
+            (pn * 0x9e3779b97f4a7c15ull) >> indexShift_);
+    }
+    /** Slot holding page @p pn, or pageIndex_.size() when absent. */
+    std::size_t indexFind(Addr pn) const;
+    void indexAdd(Addr blockNum);
+    void indexRemove(Addr blockNum);
+    /** Allocate pageIndex_ and fill it from the ways. */
+    void buildIndex();
+    /** Empty slot @p hole, shifting later probe-chain entries back. */
+    void indexErase(std::size_t hole);
+
     CacheConfig config_;
     MetricScope scope_;
     std::size_t numSets_;
@@ -142,6 +174,18 @@ class SetAssocCache
      *  [s*assoc, s*assoc + used_[s]) in LRU order, MRU first. */
     std::vector<Way> ways_;
     std::vector<std::uint32_t> used_;
+
+    /** One page-index slot; lines == 0 marks it empty. */
+    struct PageLines
+    {
+        Addr pn;
+        std::uint64_t lines;   ///< bit k: line k of the page is held
+    };
+    /** Open-addressed, linear-probed page index, sized to a power of
+     *  two >= 2x the way count so it never fills. Empty until the
+     *  first invalidatePage(). */
+    std::vector<PageLines> pageIndex_;
+    unsigned indexShift_ = 64;
     Counter &hits_;
     Counter &misses_;
     Counter &writebacks_;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "fpga/remote_translation.h"
 
 namespace kona {
 
@@ -227,8 +228,13 @@ parseChaosScenario(const std::string &text)
             sc.workload = t[1];
         else if (t[0] == "nodes")
             sc.nodes = parseU64(t[1], "node count");
-        else if (t[0] == "replication")
+        else if (t[0] == "replication") {
             sc.replication = parseU64(t[1], "replication");
+            if (sc.replication > RemoteCopies::maxReplicas)
+                fatal("chaos scenario: replication ", sc.replication,
+                      " exceeds the limit of ",
+                      RemoteCopies::maxReplicas);
+        }
         else if (t[0] == "ops")
             sc.ops = parseU64(t[1], "op budget");
         else if (t[0] == "scale")

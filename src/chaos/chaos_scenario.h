@@ -89,7 +89,7 @@ struct ChaosScenario
     std::string name = "unnamed";
     std::string workload = "redis-rand";
     std::size_t nodes = 3;          ///< initial memory nodes (ids 1..n)
-    std::size_t replication = 1;    ///< extra copies per slab
+    std::size_t replication = 1;    ///< extra copies per slab, <= 7
     std::uint64_t ops = 2000;       ///< workload ops to execute
     double scale = 0.1;             ///< workload footprint scale
                                     ///< (must exceed FMem so ops miss)

@@ -111,13 +111,11 @@ EvictionHandler::batchPageLimit() const
     if (config_.mode != EvictionMode::ClLog)
         return limit;
     std::size_t depth = std::max<std::size_t>(1, config_.pipelineDepth);
-    for (NodeId id : controller_.nodeIds()) {
-        std::size_t slotBytes =
-            controller_.node(id).logSlotBytes(depth);
+    controller_.forEachNode([&](const MemoryNode &node) {
         limit = std::min(
-            limit, std::max<std::size_t>(
-                       1, slotBytes / clLogWorstBytesPerPage));
-    }
+            limit, std::max<std::size_t>(1, node.logSlotBytes(depth) /
+                                                clLogWorstBytesPerPage));
+    });
     return limit;
 }
 
@@ -167,7 +165,13 @@ EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
 BatchTicket
 EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
 {
-    if (req.vpns.empty())
+    return submitPages(req.vpns, clock);
+}
+
+BatchTicket
+EvictionHandler::submitPages(std::span<const Addr> vpns, SimClock &clock)
+{
+    if (vpns.empty())
         return {};
 
     // Cross-shard section: shipments post on the fabric, occupy
@@ -178,16 +182,12 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     // every node; the ticket of the last chunk is returned (drain()
     // remains the barrier covering all of them).
     std::size_t limit = batchPageLimit();
-    if (req.vpns.size() > limit) {
+    if (vpns.size() > limit) {
         BatchTicket last;
-        for (std::size_t i = 0; i < req.vpns.size(); i += limit) {
-            EvictionRequest chunk;
-            chunk.vpns.assign(
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(i),
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(i + limit,
-                                                req.vpns.size())));
-            last = submit(chunk, clock);
+        for (std::size_t i = 0; i < vpns.size(); i += limit) {
+            last = submitPages(
+                vpns.subspan(i, std::min(limit, vpns.size() - i)),
+                clock);
         }
         return last;
     }
@@ -196,21 +196,21 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
 
     // Fence conflicts first: a page already on the wire must land (or
     // fail) before this batch may pack a fresh snapshot of it.
-    for (Addr vpn : req.vpns)
+    for (Addr vpn : vpns)
         awaitPageIdle(vpn, clock);
 
     std::uint64_t batchId = nextBatchId_++;
     Batch &batch = batches_[batchId];
     batch.id = batchId;
     batch.start = clock.now();
-    batch.requested = req.vpns.size();
+    batch.requested = vpns.size();
     batch.lane = traceLane_;
 
     // Phase 1: snoop CPU caches and read the dirty masks. Clean pages
     // drop silently; remote memory already holds their bytes.
     {
         Span scan(trace_, clock, "bitmap_scan", "evict", traceLane_);
-        for (Addr vpn : req.vpns) {
+        for (Addr vpn : vpns) {
             if (!fpga_.pageResident(vpn))
                 continue;
             hierarchy_.snoopPage(vpn);
@@ -733,9 +733,7 @@ void
 EvictionHandler::evictBatch(const std::vector<Addr> &vpns,
                             SimClock &clock)
 {
-    EvictionRequest req;
-    req.vpns = vpns;
-    submit(req, clock);
+    submitPages(vpns, clock);
     drain(clock);
 }
 

@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -339,6 +340,9 @@ class EvictionHandler
 
     /** Largest batch whose worst-case log fits every node's ring slot. */
     std::size_t batchPageLimit() const;
+
+    /** submit() over a borrowed page list (chunks without copying). */
+    BatchTicket submitPages(std::span<const Addr> vpns, SimClock &clock);
 
     /** Post (or re-post) @p s's payload on its own timeline. */
     void postShipment(Shipment &s);

@@ -49,6 +49,10 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       rebuildPromotions_(scope_.counter("rebuild_promotions")),
       outageBackoffNs_(scope_.histogram("outage_backoff_ns"))
 {
+    if (config_.replicationFactor > RemoteCopies::maxReplicas)
+        fatal("KonaConfig::replicationFactor ", config_.replicationFactor,
+              " exceeds the limit of ", RemoteCopies::maxReplicas,
+              " replicas per slab");
     // The journal timestamps on the app clock and mirrors into the
     // trace as instants; its dropped-event count (and the trace ring's)
     // are registry metrics so exports expose flight-recorder loss.

@@ -67,7 +67,9 @@ struct KonaConfig
      */
     RetryPolicy retry{.initialBackoffNs = 100'000, .maxAttempts = 64};
 
-    /** Extra remote copies per slab (§4.5 replication; 0 = none). */
+    /** Extra remote copies per slab (§4.5 replication; 0 = none).
+     *  At most RemoteCopies::maxReplicas (7); the constructor rejects
+     *  larger values as fatal. */
     std::size_t replicationFactor = 0;
 
     /**

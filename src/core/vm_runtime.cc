@@ -30,6 +30,10 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       majorFaultNs_(scope_.histogram("major_fault_ns"))
 {
     KONA_ASSERT(config.localCachePages > 0, "empty local cache");
+    if (config.replicationFactor > RemoteCopies::maxReplicas)
+        fatal("VmConfig::replicationFactor ", config.replicationFactor,
+              " exceeds the limit of ", RemoteCopies::maxReplicas,
+              " replicas per page");
 
     const LatencyConfig &lat = fabric_.latency();
     double levels[3] = {lat.l1HitNs, lat.l2HitNs, lat.l3HitNs};

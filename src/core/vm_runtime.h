@@ -59,6 +59,8 @@ struct VmConfig
     bool backgroundEviction = true;
 
     HierarchyConfig hierarchy;
+    /** Extra remote copies per page; at most RemoteCopies::maxReplicas
+     *  (7), larger values are fatal at construction. */
     std::size_t replicationFactor = 0;
 
     /** Shared retry discipline for the fault and writeback paths. */

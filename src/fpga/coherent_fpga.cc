@@ -202,24 +202,29 @@ CoherentFpga::homeStale(Addr vpn, NodeId node) const
     return it != staleHomes_.end() && it->second.count(node) > 0;
 }
 
-std::vector<std::size_t>
-CoherentFpga::fetchOrder(
-    const std::vector<RemoteLocation> &locations) const
+void
+CoherentFpga::fetchOrder(const RemoteCopies &locations,
+                         FetchOrder &order) const
 {
-    std::vector<std::size_t> order(locations.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (!membershipProbe_)
-        return order;
+    if (!membershipProbe_) {
+        for (std::size_t i = 0; i < locations.size(); ++i)
+            order[i] = i;
+        return;
+    }
     // Stable partition: preferred nodes first, original order within
     // each class (so the primary still leads among healthy copies and
     // promotion logic keyed on original indices stays meaningful).
-    std::stable_partition(order.begin(), order.end(),
-                          [this, &locations](std::size_t i) {
-                              return !membershipProbe_(
-                                  locations[i].node);
-                          });
-    return order;
+    bool avoid[RemoteCopies::maxCopies] = {};
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < locations.size(); ++i) {
+        avoid[i] = membershipProbe_(locations[i].node);
+        if (!avoid[i])
+            order[k++] = i;
+    }
+    for (std::size_t i = 0; i < locations.size(); ++i) {
+        if (avoid[i])
+            order[k++] = i;
+    }
 }
 
 bool
@@ -252,11 +257,12 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
     // promotes, warns, or retries — but it does report failures (gray
     // nodes must accumulate evidence even off the critical path) and
     // falls back to a replica instead of giving up.
-    auto locations = translation_.translateAll(vfmemAddr);
-    std::vector<std::size_t> order = fetchOrder(locations);
+    RemoteCopies locations = translation_.translateAll(vfmemAddr);
+    FetchOrder order{};
+    fetchOrder(locations, order);
     bool fetched = false;
     std::size_t servedBy = 0;   ///< original index of the copy served
-    for (std::size_t k = 0; k < order.size(); ++k) {
+    for (std::size_t k = 0; k < locations.size(); ++k) {
         std::size_t i = order[k];
         const RemoteLocation &loc = locations[i];
         if (homeStale(vpn, loc.node)) {

@@ -448,10 +448,13 @@ class CoherentFpga : public MemorySideListener
 
     void reportHealth(NodeId node, bool ok, Tick latencyNs = 0);
 
-    /** Candidate iteration order: healthy locations first (stable), so
-     *  reads hedge away from Suspect/Quarantined/Joining primaries. */
-    std::vector<std::size_t>
-    fetchOrder(const std::vector<RemoteLocation> &locations) const;
+    /** Indices into a RemoteCopies, in fetch order. */
+    using FetchOrder = std::array<std::size_t, RemoteCopies::maxCopies>;
+
+    /** Fill @p order with the candidate iteration order: healthy
+     *  locations first (stable), so reads hedge away from
+     *  Suspect/Quarantined/Joining primaries. */
+    void fetchOrder(const RemoteCopies &locations, FetchOrder &order) const;
 
     Fabric &fabric_;
     NodeId computeNode_;

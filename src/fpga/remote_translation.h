@@ -10,6 +10,7 @@
 #ifndef KONA_FPGA_REMOTE_TRANSLATION_H
 #define KONA_FPGA_REMOTE_TRANSLATION_H
 
+#include <array>
 #include <functional>
 #include <map>
 #include <vector>
@@ -26,6 +27,26 @@ struct RemoteLocation
     NodeId node = 0;
     Addr addr = 0;              ///< absolute address on the node
     std::uint32_t regionKey = 0;
+};
+
+/**
+ * Every copy of one VFMem address, primary first: a fixed-capacity
+ * value, so translating on the fetch and eviction paths never touches
+ * the heap.
+ */
+struct RemoteCopies
+{
+    static constexpr std::size_t maxCopies = 8;
+    /** Largest replication factor: the primary plus this many. */
+    static constexpr std::size_t maxReplicas = maxCopies - 1;
+
+    std::array<RemoteLocation, maxCopies> at;
+    std::size_t count = 0;
+
+    std::size_t size() const { return count; }
+    const RemoteLocation &operator[](std::size_t i) const { return at[i]; }
+    const RemoteLocation *begin() const { return at.data(); }
+    const RemoteLocation *end() const { return at.data() + count; }
 };
 
 /** One VFMem slab's remote placement: primary plus optional replicas. */
@@ -52,6 +73,9 @@ class RemoteTranslation
             std::vector<SlabGrant> replicas = {}, bool shared = false)
     {
         KONA_ASSERT(primary.size > 0, "empty slab grant");
+        KONA_ASSERT(replicas.size() < RemoteCopies::maxCopies,
+                    "more than ", RemoteCopies::maxCopies,
+                    " copies of a slab");
         for (const SlabGrant &r : replicas) {
             KONA_ASSERT(r.size == primary.size,
                         "replica size mismatch");
@@ -89,18 +113,21 @@ class RemoteTranslation
     }
 
     /** Translate to every copy: primary first, then replicas. */
-    std::vector<RemoteLocation>
+    RemoteCopies
     translateAll(Addr vfmemAddr) const
     {
         const auto &[base, slab] = slabAt(vfmemAddr);
         Addr delta = vfmemAddr - base;
-        std::vector<RemoteLocation> out;
-        out.push_back({slab.primary.where.node,
-                       slab.primary.where.offset + delta,
-                       slab.primary.regionKey});
+        KONA_ASSERT(slab.replicas.size() < RemoteCopies::maxCopies,
+                    "more than ", RemoteCopies::maxCopies,
+                    " copies of VFMem ", vfmemAddr);
+        RemoteCopies out;
+        out.at[out.count++] = {slab.primary.where.node,
+                               slab.primary.where.offset + delta,
+                               slab.primary.regionKey};
         for (const SlabGrant &r : slab.replicas) {
-            out.push_back({r.where.node, r.where.offset + delta,
-                           r.regionKey});
+            out.at[out.count++] = {r.where.node, r.where.offset + delta,
+                                   r.regionKey};
         }
         return out;
     }

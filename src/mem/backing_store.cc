@@ -9,19 +9,36 @@ namespace kona {
 BackingStore::BackingStore(std::size_t capacity) : capacity_(capacity)
 {
     KONA_ASSERT(capacity > 0, "empty backing store");
+    std::size_t pages = (capacity + pageSize - 1) / pageSize;
+    chunks_.resize((pages + pagesPerChunk - 1) / pagesPerChunk);
 }
 
 std::uint8_t *
 BackingStore::pageFor(Addr addr)
 {
     Addr pn = pageNumber(addr);
-    auto it = pages_.find(pn);
-    if (it == pages_.end()) {
-        auto page = std::make_unique<std::uint8_t[]>(pageSize);
-        std::memset(page.get(), 0, pageSize);
-        it = pages_.emplace(pn, std::move(page)).first;
+    std::unique_ptr<Chunk> &chunk = chunks_[pn / pagesPerChunk];
+    if (!chunk)
+        chunk = std::make_unique<Chunk>();
+    Page &page = (*chunk)[pn % pagesPerChunk];
+    if (!page) {
+        page = std::make_unique<std::uint8_t[]>(pageSize);   // zeroed
+        ++residentPages_;
     }
-    return it->second.get();
+    return page.get();
+}
+
+void
+BackingStore::dropPage(Addr addr)
+{
+    if (addr >= capacity_)
+        return;
+    Addr pn = pageNumber(addr);
+    Chunk *chunk = chunks_[pn / pagesPerChunk].get();
+    if (chunk == nullptr || !(*chunk)[pn % pagesPerChunk])
+        return;
+    (*chunk)[pn % pagesPerChunk].reset();
+    --residentPages_;
 }
 
 void
@@ -33,13 +50,11 @@ BackingStore::read(Addr addr, void *buf, std::size_t size)
     while (size > 0) {
         std::size_t offset = addr % pageSize;
         std::size_t chunk = std::min(size, pageSize - offset);
-        Addr pn = pageNumber(addr);
-        auto it = pages_.find(pn);
-        if (it == pages_.end()) {
+        const std::uint8_t *page = findPage(pageNumber(addr));
+        if (page == nullptr)
             std::memset(out, 0, chunk);   // untouched pages read as zero
-        } else {
-            std::memcpy(out, it->second.get() + offset, chunk);
-        }
+        else
+            std::memcpy(out, page + offset, chunk);
         addr += chunk;
         out += chunk;
         size -= chunk;
@@ -72,7 +87,7 @@ BackingStore::pagePointer(Addr addr)
 bool
 BackingStore::pageResident(Addr addr) const
 {
-    return pages_.count(pageNumber(addr)) != 0;
+    return addr < capacity_ && findPage(pageNumber(addr)) != nullptr;
 }
 
 } // namespace kona

@@ -133,6 +133,9 @@ ShardGate::enter(std::uint32_t shard, Tick stamp, GateEvent kind)
     s.kind = kind;
     s.waiting = true;
     waiters_.fetch_add(1, std::memory_order_acq_rel);
+    // Becoming a waiter moves this shard's lower bound from its clock
+    // up to its key, which can make another waiter minimal.
+    cv_.notify_all();
     // Free the run token so a blocked shard never starves the shard
     // whose event is globally next.
     releaseTokenLocked();

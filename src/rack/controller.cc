@@ -138,16 +138,6 @@ Controller::node(NodeId id) const
     return *it->second;
 }
 
-std::vector<NodeId>
-Controller::nodeIds() const
-{
-    std::vector<NodeId> ids;
-    ids.reserve(nodes_.size());
-    for (const auto &[id, node] : nodes_)
-        ids.push_back(id);
-    return ids;
-}
-
 std::size_t
 Controller::healthyNodeCount() const
 {

@@ -156,8 +156,14 @@ class Controller
     /** The registered memory node @p id (fatal if unknown). */
     MemoryNode &node(NodeId id) const;
 
-    /** Ids of every registered node (any health), unordered. */
-    std::vector<NodeId> nodeIds() const;
+    /** Call @p fn on every registered node (any health), unordered. */
+    template <typename Fn>
+    void
+    forEachNode(Fn &&fn) const
+    {
+        for (const auto &[id, node] : nodes_)
+            fn(static_cast<const MemoryNode &>(*node));
+    }
 
     std::size_t slabSize() const { return slabSize_; }
     std::size_t nodeCount() const { return nodes_.size(); }

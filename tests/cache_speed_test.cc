@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/hierarchy.h"
 #include "cache/set_assoc_cache.h"
 #include "common/rng.h"
 #include "fpga/fmem_cache.h"
@@ -182,6 +183,9 @@ geometry(std::size_t sets, std::size_t ways, std::size_t block)
 struct DiffGeometry
 {
     std::size_t sets, ways, block;
+    /** Address span as a multiple of the cache size. A wide span puts
+     *  nearly every line on its own page, loading the page index. */
+    std::size_t spread = 4;
 };
 
 class CacheDifferential : public ::testing::TestWithParam<DiffGeometry>
@@ -195,7 +199,7 @@ TEST_P(CacheDifferential, MatchesLegacyListImplementation)
     SetAssocCache cache(cfg);
     ListCacheRef ref(cfg);
     Rng rng(0xd1ffull + g.sets * 31 + g.ways);
-    Addr span = g.sets * g.ways * g.block * 4;
+    Addr span = g.sets * g.ways * g.block * g.spread;
 
     for (int i = 0; i < 20000; ++i) {
         Addr addr = rng.below(span);
@@ -231,18 +235,24 @@ TEST_P(CacheDifferential, MatchesLegacyListImplementation)
             ASSERT_EQ(cache.contains(addr), ref.contains(addr))
                 << "contains #" << i;
         } else if (dice < 0.98) {
-            // holdsLineOfPage must agree with a per-line contains scan
-            // over the reference model.
+            if (cfg.blockSize != cacheLineSize)
+                continue;   // page snoops are for 64B-line caches
+            // invalidatePage must remove exactly what 64 per-line
+            // invalidations of the reference remove.
             Addr pn = addr / pageSize;
-            bool expected = false;
-            std::size_t blocks = cfg.blockSize < pageSize
-                                     ? pageSize / cfg.blockSize
-                                     : 1;
-            for (std::size_t b = 0; b < blocks && !expected; ++b)
-                expected = ref.contains(pn * pageSize +
-                                        b * cfg.blockSize);
-            ASSERT_EQ(cache.holdsLineOfPage(pn), expected)
-                << "probe #" << i;
+            std::uint64_t wantPresent = 0, wantDirty = 0;
+            for (unsigned k = 0; k < linesPerPage; ++k) {
+                auto d = ref.invalidateBlock(pn * pageSize +
+                                             k * cacheLineSize);
+                if (d.has_value())
+                    wantPresent |= std::uint64_t{1} << k;
+                if (d.value_or(false))
+                    wantDirty |= std::uint64_t{1} << k;
+            }
+            std::uint64_t dirty = 0;
+            ASSERT_EQ(cache.invalidatePage(pn, dirty), wantPresent)
+                << "snoop #" << i;
+            ASSERT_EQ(dirty, wantDirty) << "snoop #" << i;
         } else {
             std::vector<CacheEviction> flushed;
             cache.flushAll(flushed);
@@ -267,8 +277,136 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DiffGeometry{1, 1, 64}, DiffGeometry{4, 2, 64},
                       DiffGeometry{16, 8, 64},
                       DiffGeometry{64, 16, 64},
+                      DiffGeometry{64, 1, 64, 4096},
+                      DiffGeometry{256, 4, 64, 64},
                       DiffGeometry{8, 4, 4096},
                       DiffGeometry{2, 4, 1024}));
+
+// ---------------------------------------------------------------------
+// Hierarchy-level reference: ListCacheRef levels driven by the
+// original per-line algorithms (snoopPage walks all 64 lines through
+// every level). The listener event sequence must match exactly.
+// ---------------------------------------------------------------------
+
+using HierEvent = std::pair<char, Addr>;   ///< 'R'equest / 'W'riteback
+
+class EventRecorder : public MemorySideListener
+{
+  public:
+    void onLineRequest(Addr lineAddr, AccessType) override
+    {
+        events.push_back({'R', lineAddr});
+    }
+    void onWriteback(Addr lineAddr) override
+    {
+        events.push_back({'W', lineAddr});
+    }
+    std::vector<HierEvent> events;
+};
+
+class ListHierarchyRef
+{
+  public:
+    explicit ListHierarchyRef(const HierarchyConfig &config)
+    {
+        for (const CacheConfig &level : config.levels)
+            levels_.emplace_back(level);
+    }
+
+    void
+    accessOne(Addr lineAddr, AccessType type)
+    {
+        RefEviction ev;
+        for (std::size_t i = 0; i < levels_.size(); ++i) {
+            CacheOutcome outcome = levels_[i].access(lineAddr, type, ev);
+            if (ev.valid && ev.dirty)
+                propagate(i, ev.blockAddr);
+            if (outcome == CacheOutcome::Hit)
+                return;
+        }
+        events.push_back({'R', lineAddr});
+    }
+
+    void
+    snoopPage(Addr pn)
+    {
+        for (unsigned k = 0; k < linesPerPage; ++k) {
+            Addr line = pn * pageSize + k * cacheLineSize;
+            bool dirty = false;
+            for (ListCacheRef &level : levels_)
+                dirty |= level.invalidateBlock(line).value_or(false);
+            if (dirty)
+                events.push_back({'W', line});
+        }
+    }
+
+    std::vector<HierEvent> events;
+
+  private:
+    void
+    propagate(std::size_t from, Addr blockAddr)
+    {
+        RefEviction ev;
+        for (std::size_t next = from + 1; next < levels_.size(); ++next) {
+            levels_[next].fillDirty(blockAddr, ev);
+            if (!ev.valid || !ev.dirty)
+                return;
+            blockAddr = ev.blockAddr;
+        }
+        events.push_back({'W', blockAddr});
+    }
+
+    std::vector<ListCacheRef> levels_;
+};
+
+TEST(HierarchyDifferential, SnoopPageMatchesPerLineReference)
+{
+    HierarchyConfig tiny;
+    tiny.levels = {{"L1d", 4 * 2 * 64, 2, 64},
+                   {"L2", 64 * 4 * 64, 4, 64},
+                   {"L3", 128 * 8 * 64, 8, 64}};
+    // scaled(): a 16-set L1, where one set holds several lines of a
+    // page, over L2/L3.
+    for (const HierarchyConfig &cfg : {tiny, HierarchyConfig::scaled()}) {
+        CacheHierarchy hier(cfg);
+        EventRecorder log;
+        hier.setListener(&log);
+        ListHierarchyRef ref(cfg);
+        Rng rng(0x5e00b + cfg.levels.back().sizeBytes);
+        Addr spanPages = cfg.levels.back().sizeBytes / pageSize * 3;
+        std::size_t snoops = 0;
+        for (int i = 0; i < 60000; ++i) {
+            // Skewed page choice so snooped pages are often cached.
+            Addr pn = rng.chance(0.7) ? rng.below(spanPages / 8)
+                                      : rng.below(spanPages);
+            if (rng.chance(0.02)) {
+                hier.snoopPage(pn);
+                ref.snoopPage(pn);
+                ++snoops;
+            } else {
+                Addr line = pn * pageSize +
+                            rng.below(linesPerPage) * cacheLineSize;
+                auto type = rng.chance(0.4) ? AccessType::Write
+                                            : AccessType::Read;
+                hier.accessOne(line, type);
+                ref.accessOne(line, type);
+            }
+            ASSERT_EQ(log.events.size(), ref.events.size())
+                << "op #" << i;
+            if (i % 1000 == 0) {
+                for (std::size_t l = 0; l < hier.numLevels(); ++l)
+                    ASSERT_TRUE(hier.level(l).checkInvariants())
+                        << "op #" << i << " level " << l;
+            }
+        }
+        EXPECT_GT(snoops, 1000u);
+        EXPECT_EQ(log.events, ref.events);
+        EXPECT_EQ(hier.memoryWritebacks(),
+                  static_cast<std::uint64_t>(std::count_if(
+                      ref.events.begin(), ref.events.end(),
+                      [](const HierEvent &e) { return e.first == 'W'; })));
+    }
+}
 
 // ---------------------------------------------------------------------
 // Legacy list-based FMemCache reference (per-set std::list plus

@@ -121,22 +121,39 @@ TEST(SetAssocCache, LargeBlockGeometry)
               CacheOutcome::Miss);
 }
 
-TEST(SetAssocCache, HoldsLineOfPageProbe)
+TEST(SetAssocCache, InvalidatePageRemovesOnlyHeldLines)
 {
-    // Full-size L2-like geometry: 1024 sets, so page 7's 64 lines map
-    // to 64 distinct sets.
-    SetAssocCache cache(tinyCache(1024, 16));
-    CacheEviction ev;
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    cache.access(7 * pageSize + 9 * cacheLineSize, AccessType::Read,
-                 ev);
-    EXPECT_TRUE(cache.holdsLineOfPage(7));
-    EXPECT_FALSE(cache.holdsLineOfPage(6));
-    EXPECT_FALSE(cache.holdsLineOfPage(8));
-    cache.invalidateBlock(7 * pageSize + 9 * cacheLineSize);
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    // Probing must not disturb LRU order or counters.
-    EXPECT_EQ(cache.accesses(), 1u);
+    // Full-size L2-like geometry (1024 sets) and an L1-like one with
+    // fewer sets than lines per page, where one set holds many lines
+    // of the page.
+    for (std::size_t sets : {std::size_t{1024}, std::size_t{16}}) {
+        SetAssocCache cache(tinyCache(sets, 16));
+        CacheEviction ev;
+        std::uint64_t dirty = 0;
+        EXPECT_EQ(cache.invalidatePage(7, dirty), 0u);
+        cache.access(7 * pageSize + 9 * cacheLineSize,
+                     AccessType::Read, ev);
+        cache.access(7 * pageSize + 40 * cacheLineSize,
+                     AccessType::Write, ev);
+        cache.access(6 * pageSize + 63 * cacheLineSize,
+                     AccessType::Write, ev);
+        cache.access(8 * pageSize, AccessType::Read, ev);
+        EXPECT_TRUE(cache.checkInvariants());
+
+        EXPECT_EQ(cache.invalidatePage(7, dirty),
+                  (std::uint64_t{1} << 9) | (std::uint64_t{1} << 40))
+            << sets << " sets";
+        EXPECT_EQ(dirty, std::uint64_t{1} << 40) << sets << " sets";
+        EXPECT_FALSE(cache.contains(7 * pageSize + 9 * cacheLineSize));
+        EXPECT_FALSE(cache.contains(7 * pageSize + 40 * cacheLineSize));
+        // Neighbouring pages keep their lines.
+        EXPECT_TRUE(cache.contains(6 * pageSize + 63 * cacheLineSize));
+        EXPECT_TRUE(cache.contains(8 * pageSize));
+        EXPECT_EQ(cache.invalidatePage(7, dirty), 0u);
+        EXPECT_TRUE(cache.checkInvariants());
+        // Snooping must not disturb counters.
+        EXPECT_EQ(cache.accesses(), 4u);
+    }
 }
 
 TEST(SetAssocCache, FlushAllEmitsEverything)

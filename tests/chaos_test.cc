@@ -73,6 +73,9 @@ TEST(ChaosScenarioFormat, MalformedInputIsFatal)
                  FatalError);
     EXPECT_THROW(parseChaosScenario("nodes three"), FatalError);
     EXPECT_THROW(parseChaosScenario("turbo 9"), FatalError);
+    // A slab holds at most RemoteCopies::maxCopies copies.
+    EXPECT_NO_THROW(parseChaosScenario("replication 7"));
+    EXPECT_THROW(parseChaosScenario("replication 8"), FatalError);
 }
 
 TEST(ChaosScenarioFormat, BuiltinLibraryCoversTheGrayShapes)

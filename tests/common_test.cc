@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/checksum.h"
 #include "common/latency.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -105,6 +108,49 @@ TEST(Logging, LogLevelFiltersBySeverity)
     EXPECT_NE(out.find("panic always prints"), std::string::npos);
 
     setLogLevel("info");   // restore the default for other tests
+}
+
+/** Byte-at-a-time CRC32 straight from the polynomial (no tables). */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *data, std::size_t len, std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xffffffffu;
+}
+
+TEST(Checksum, Crc32CheckValue)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    EXPECT_EQ(crc32(nullptr, 0, 0x1234u), 0x1234u);
+}
+
+TEST(Checksum, Crc32MatchesBytewiseAtEveryLengthAndAlignment)
+{
+    std::vector<std::uint8_t> buf(300 + 8);
+    Rng rng(0xc4c);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t align = 0; align < 8; ++align) {
+        const std::uint8_t *p = buf.data() + align;
+        for (std::size_t len = 0; len <= 300; ++len) {
+            std::uint32_t seed = static_cast<std::uint32_t>(rng.next());
+            ASSERT_EQ(crc32(p, len), bitwiseCrc32(p, len, 0))
+                << "align " << align << " len " << len;
+            ASSERT_EQ(crc32(p, len, seed), bitwiseCrc32(p, len, seed))
+                << "align " << align << " len " << len;
+            // Chaining over a split equals one pass over the whole.
+            std::size_t cut = len == 0 ? 0 : rng.below(len + 1);
+            ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut)),
+                      crc32(p, len))
+                << "align " << align << " len " << len << " cut " << cut;
+        }
+    }
 }
 
 TEST(SimClock, AdvanceAndAdvanceTo)

@@ -263,6 +263,24 @@ TEST_F(KonaReplicationFixture, EvictionWritesAllReplicas)
     }
 }
 
+/** A slab's copies must fit RemoteCopies: the cap is checked up front,
+ *  not at the first slab mapped mid-run. */
+TEST(KonaConfigCheck, ReplicationAboveTheCopyCapIsFatal)
+{
+    Fabric fabric;
+    Controller controller(1 * MiB);
+    MemoryNode node(fabric, 1, 64 * MiB);
+    controller.registerNode(node);
+    KonaConfig cfg;
+    cfg.fpga.vfmemSize = 16 * MiB;
+    cfg.fpga.fmemSize = 1 * MiB;
+    cfg.hierarchy = HierarchyConfig::scaled();
+    cfg.replicationFactor = RemoteCopies::maxReplicas;
+    EXPECT_NO_THROW(KonaRuntime(fabric, controller, 0, cfg));
+    cfg.replicationFactor = RemoteCopies::maxReplicas + 1;
+    EXPECT_THROW(KonaRuntime(fabric, controller, 0, cfg), FatalError);
+}
+
 /** Eviction-mode comparison: CL log vs full-page movement. */
 TEST(KonaEvictionModes, ClLogMovesFarLessThanFullPage)
 {

@@ -75,6 +75,89 @@ TEST(BackingStore, DropPageForgetsData)
     EXPECT_EQ(out, 0u);
 }
 
+TEST(BackingStore, ResidencyFollowsTouchAndDrop)
+{
+    BackingStore store(8 * MiB);
+    std::uint8_t b = 7;
+    store.write(3 * pageSize + 5, &b, 1);
+    store.write(3 * pageSize + 9, &b, 1);      // same page again
+    store.write(700 * pageSize, &b, 1);        // another chunk
+    EXPECT_EQ(store.residentPages(), 2u);
+    EXPECT_TRUE(store.pageResident(3 * pageSize));
+    EXPECT_TRUE(store.pageResident(700 * pageSize + 4095));
+    EXPECT_FALSE(store.pageResident(4 * pageSize));
+    EXPECT_FALSE(store.pageResident(8 * MiB));  // past the end
+
+    store.dropPage(3 * pageSize + 100);
+    EXPECT_FALSE(store.pageResident(3 * pageSize));
+    EXPECT_EQ(store.residentPages(), 1u);
+    store.dropPage(3 * pageSize);              // already gone
+    store.dropPage(5 * pageSize);              // never touched
+    store.dropPage(9000 * pageSize);           // untouched chunk
+    EXPECT_EQ(store.residentPages(), 1u);
+
+    // A dropped page rematerializes zero-filled.
+    std::uint8_t out = 1;
+    store.read(3 * pageSize + 5, &out, 1);
+    EXPECT_EQ(out, 0);
+    EXPECT_EQ(store.residentPages(), 1u);
+    *store.pagePointer(3 * pageSize) = 1;
+    EXPECT_EQ(store.residentPages(), 2u);
+    store.read(3 * pageSize + 5, &out, 1);
+    EXPECT_EQ(out, 0);
+}
+
+TEST(BackingStore, LastPageOfUnevenCapacity)
+{
+    // Not a multiple of a chunk, nor of a page.
+    std::size_t capacity =
+        (BackingStore::pagesPerChunk + 3) * pageSize + 100;
+    BackingStore store(capacity);
+    const char msg[] = "tail";
+    Addr last = capacity - sizeof(msg);
+    store.write(last, msg, sizeof(msg));
+    char out[sizeof(msg)] = {};
+    store.read(last, out, sizeof(out));
+    EXPECT_STREQ(out, msg);
+    EXPECT_TRUE(store.pageResident(capacity - 1));
+    EXPECT_EQ(store.residentPages(), 1u);
+    std::uint8_t b = 0;
+    EXPECT_THROW(store.write(capacity - 1, &b, 2), PanicError);
+    EXPECT_THROW(store.read(capacity, &b, 1), PanicError);
+    EXPECT_THROW(store.pagePointer(capacity), PanicError);
+}
+
+TEST(BackingStore, PagePointerStableAsOtherPagesMaterialize)
+{
+    BackingStore store(64 * MiB);
+    std::uint8_t *first = store.pagePointer(pageSize + 10);
+    std::uint8_t *far = store.pagePointer(40 * MiB);
+    *first = 0xab;
+    *far = 0xcd;
+    std::uint8_t b = 1;
+    for (Addr pn = 0; pn < 64 * MiB / pageSize; pn += 3)
+        store.write(pn * pageSize + 1, &b, 1);
+    EXPECT_EQ(store.pagePointer(pageSize + 10), first);
+    EXPECT_EQ(store.pagePointer(40 * MiB), far);
+    std::uint8_t out = 0;
+    store.read(pageSize + 10, &out, 1);
+    EXPECT_EQ(out, 0xab);
+    store.read(40 * MiB, &out, 1);
+    EXPECT_EQ(out, 0xcd);
+}
+
+TEST(BackingStore, SparseMultiGigabyteStore)
+{
+    BackingStore store(std::size_t{4} * GiB);
+    std::uint64_t v = 42;
+    store.write(std::size_t{4} * GiB - sizeof(v), &v, sizeof(v));
+    store.write(0, &v, sizeof(v));
+    EXPECT_EQ(store.residentPages(), 2u);
+    std::uint64_t out = 0;
+    store.read(std::size_t{4} * GiB - sizeof(v), &out, sizeof(out));
+    EXPECT_EQ(out, 42u);
+}
+
 TEST(PageTable, MapTranslateUnmap)
 {
     PageTable pt;

@@ -270,5 +270,14 @@ TEST_F(VmFixture, SpanLargerThanCacheIsFatal)
                  FatalError);
 }
 
+TEST_F(VmFixture, ReplicationAboveTheCopyCapIsFatal)
+{
+    VmConfig cfg = makeConfig();
+    cfg.replicationFactor = RemoteCopies::maxReplicas;
+    EXPECT_NO_THROW(VmRuntime(fabric, controller, 1, cfg));
+    cfg.replicationFactor = RemoteCopies::maxReplicas + 1;
+    EXPECT_THROW(VmRuntime(fabric, controller, 1, cfg), FatalError);
+}
+
 } // namespace
 } // namespace kona
